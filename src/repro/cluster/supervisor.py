@@ -33,7 +33,7 @@ from repro.errors import ConfigurationError, ServiceError
 from repro.obs import tracing
 from repro.rng import derive_seed
 from repro.service.protocol import FRAMES
-from repro.service.server import DEFAULT_MAX_INFLIGHT, DEFAULT_WRITE_TIMEOUT
+from repro.service.frontend import DEFAULT_MAX_INFLIGHT, DEFAULT_WRITE_TIMEOUT
 
 __all__ = ["ClusterSupervisor", "running_cluster"]
 

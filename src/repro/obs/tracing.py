@@ -113,10 +113,11 @@ class Span:
     """One open span; :meth:`end` emits its record and closes it.
 
     Spans are cheap plain objects, not context managers, because the
-    serving paths open and close them across ``await`` points (and the
-    router even across *tasks* — dispatch opens, the response flusher
-    closes). ``activate=False`` spans never touch the ambient context
-    and may be ended from any task.
+    serving paths open and close them across ``await`` points and across
+    *tasks*: a connection's reader opens a request span, the response
+    flusher ends it. ``activate=False`` spans never touch the ambient
+    context and may be ended from any task; an activated one may be too,
+    once :meth:`detach` has run in the task that activated it.
     """
 
     __slots__ = ("name", "trace", "span", "parent", "attrs", "_ts", "_t0", "_token")
@@ -170,12 +171,20 @@ class Span:
         for sink in _sinks:
             sink.emit(record)
 
-    def end(self, **attrs: Any) -> None:
-        """Emit the span record; restore the ambient context if activated."""
-        dur = time.perf_counter_ns() - self._t0
+    def detach(self) -> None:
+        """Restore the ambient context now; the span stays open.
+
+        An activated span must be detached in the task that activated it;
+        after that, :meth:`end` may run in any task.
+        """
         if self._token is not None:
             _current.reset(self._token)
             self._token = None
+
+    def end(self, **attrs: Any) -> None:
+        """Emit the span record; restore the ambient context if activated."""
+        dur = time.perf_counter_ns() - self._t0
+        self.detach()
         record = {
             "ev": "span",
             "name": self.name,

@@ -26,9 +26,10 @@ Layout::
     store.py      PolicyStore: single-writer policy + payload dict
     sharding.py   ShardedPolicyStore: keyspace split across N
                   independent shards, merged stats/metrics
-    server.py     CacheServer: asyncio TCP server, error isolation,
-                  backpressure (connection cap, in-flight window,
-                  write timeouts), per-frame framing echo
+    frontend.py   FrontEnd: the connection core shared with the cluster
+                  router (framing, HELLO, error isolation, backpressure,
+                  ordered response flusher, drain, teardown)
+    server.py     CacheServer: FrontEnd over one store
     client.py     ServiceClient (timeouts, pipelining, batching, frame
                   negotiation) and ResilientClient (retries, backoff,
                   reconnect)
