@@ -41,7 +41,11 @@ from repro.errors import ConfigurationError
 from repro.hashing import hash_to_range, splitmix64
 from repro.obs.metrics import MetricsRegistry
 from repro.rng import derive_seed
-from repro.service.metrics import ServiceMetrics, build_registry
+from repro.service.metrics import (
+    ServiceMetrics,
+    add_connection_families,
+    add_store_families,
+)
 from repro.service.store import PolicyStore
 
 __all__ = ["ShardedPolicyStore", "split_capacity"]
@@ -263,8 +267,7 @@ class ShardedPolicyStore:
 
     async def metrics_registry(self) -> MetricsRegistry:
         """Exposition registry for one scrape: merged counters + per-shard gauges."""
-        merged = ServiceMetrics()
-        merged.started = self.metrics.started
+        merged = ServiceMetrics()  # the store counters, summed over shards
         for shard in self.shards:
             merged.gets += shard.metrics.gets
             merged.puts += shard.metrics.puts
@@ -272,24 +275,18 @@ class ShardedPolicyStore:
             merged.hits += shard.metrics.hits
             merged.misses += shard.metrics.misses
             merged.kernel_batches += shard.metrics.kernel_batches
-        merged.errors = self.metrics.errors + sum(s.metrics.errors for s in self.shards)
-        merged.rejected = self.metrics.rejected
-        merged.write_timeouts = self.metrics.write_timeouts
-        merged.connections_opened = self.metrics.connections_opened
-        merged.connections_closed = self.metrics.connections_closed
-        merged.latency = self.metrics.latency  # live references, never copies
-        merged.latency_by_op = self.metrics.latency_by_op
-        resident = sum(len(shard.policy) for shard in self.shards)
-        gauges = {
-            "repro_resident_pages": float(resident),
-            "repro_capacity_slots": float(self.capacity),
-            "repro_shards": float(self.num_shards),
-        }
-        reg = build_registry(
-            merged,
-            gauges=gauges,
-            counters={"repro_evictions_total": float(merged.misses - resident)},
+        reg = MetricsRegistry()
+        add_connection_families(
+            reg,
+            self.metrics,
+            errors=self.metrics.errors + sum(s.metrics.errors for s in self.shards),
         )
+        add_store_families(reg, merged)
+        resident = sum(len(shard.policy) for shard in self.shards)
+        reg.gauge("repro_resident_pages").set(float(resident))
+        reg.gauge("repro_capacity_slots").set(float(self.capacity))
+        reg.gauge("repro_shards").set(float(self.num_shards))
+        reg.counter("repro_evictions_total").inc(float(merged.misses - resident))
         reg.gauge(
             "repro_cache_info",
             "wrapped policy identity (value is always 1)",
