@@ -17,10 +17,14 @@ Two entry points over one measurement core:
        python benchmarks/bench_slo.py --json BENCH_slo.json
        python benchmarks/bench_slo.py --check          # CI gate
 
-   ``--check`` exits non-zero unless every row satisfies the SLO
-   contract: generator lag within bounds (``lag_ok``, else the run
-   measured the loadgen and is void) and the violation fraction at the
-   default 50 ms SLO at or under ``--max-violations`` (default 1 %).
+   Each row is the **median run by p99** of ``--repeats`` runs (a
+   fresh server each), with the worst run's ``worst_p99_ms``,
+   ``worst_violation_fraction`` and ``worst_lag_ok`` alongside: a
+   best-of tail would be biased low. ``--check`` exits non-zero unless
+   every reported run satisfies the SLO contract: generator lag within
+   bounds (``lag_ok``, else the run measured the loadgen and is void)
+   and the violation fraction at the default 50 ms SLO at or under
+   :data:`MAX_VIOLATIONS` (1 %).
    The offered rate is deliberately conservative — far below the
    closed-loop ceiling recorded in ``BENCH_service.json`` — because the
    gate certifies *latency under feasible load*, not peak throughput.
@@ -60,6 +64,8 @@ FRAME = "binary"
 
 #: arrival shapes benchmarked (and gated) at the shared offered rate
 BURSTS = (1.0, 4.0)
+#: gate: the most SLO violations a reported run may have, as a fraction
+MAX_VIOLATIONS = 0.01
 
 
 def _available_cpus() -> int:
@@ -92,35 +98,43 @@ def _open_loop_once(trace, *, rate: float, burst: float, slo_ms: float):
     return asyncio.run(scenario())
 
 
-def _best_report(trace, *, rate: float, burst: float, slo_ms: float, repeats: int):
-    """Best-of-N by p99 (fresh server per run) among runs whose generator
-    kept up; falls back to the least-lagged run if none did."""
-    best = fallback = None
-    for _ in range(repeats):
-        report = _open_loop_once(trace, rate=rate, burst=burst, slo_ms=slo_ms)
-        assert report.ops == len(trace)
-        if fallback is None or report.lag_p99_ms < fallback.lag_p99_ms:
-            fallback = report
-        if report.lag_ok and (best is None or report.p99_ms < best.p99_ms):
-            best = report
-    return best if best is not None else fallback
+def _median_row(trace, *, rate: float, burst: float, slo_ms: float, repeats: int):
+    """The median run by p99 of ``repeats`` runs (fresh server per run),
+    plus the worst run's tail and verdicts."""
+    runs = sorted(
+        (_open_loop_once(trace, rate=rate, burst=burst, slo_ms=slo_ms)
+         for _ in range(repeats)),
+        key=lambda report: report.p99_ms,
+    )
+    assert all(report.ops == len(trace) for report in runs)
+    worst = runs[-1]
+    return {
+        **runs[len(runs) // 2].as_dict(),
+        "worst_p99_ms": round(worst.p99_ms, 4),
+        "worst_violation_fraction": round(worst.violation_fraction, 6),
+        "worst_lag_ok": worst.lag_ok,
+    }
 
 
 def run_suite(length: int, repeats: int, *, rate: float, slo_ms: float) -> dict:
     """Measure every arrival shape; JSON-ready dict."""
+    from repro.service.loop import install_best_event_loop
+
+    event_loop = install_best_event_loop()
     trace = make_trace(length)
-    rows: dict[str, dict] = {}
-    for burst in BURSTS:
-        report = _best_report(
+    rows = {
+        f"rate={rate:g}/burst={burst:g}": _median_row(
             trace, rate=rate, burst=burst, slo_ms=slo_ms, repeats=repeats
         )
-        rows[f"rate={rate:g}/burst={burst:g}"] = report.as_dict()
+        for burst in BURSTS
+    }
     return {
-        "schema": 1,
+        "schema": 2,
         "generated_unix": time.time(),
         "python": platform.python_version(),
         "machine": platform.machine(),
         "cpus": _available_cpus(),
+        "event_loop": event_loop,
         "policy": POLICY,
         "capacity": CAPACITY,
         "trace_length": length,
@@ -132,22 +146,24 @@ def run_suite(length: int, repeats: int, *, rate: float, slo_ms: float) -> dict:
     }
 
 
-def check(report: dict, *, max_violations: float = 0.01) -> bool:
-    """CI gate: every row must have kept the generator honest (``lag_ok``)
-    and kept SLO violations at or under ``max_violations``."""
+def check(report: dict) -> bool:
+    """CI gate: every row's reported (median) run must have kept the
+    generator honest (``lag_ok``) and kept SLO violations at or under
+    :data:`MAX_VIOLATIONS`."""
     passed = True
     for name, row in report["results"].items():
-        ok = row["lag_ok"] and row["violation_fraction"] <= max_violations
+        ok = row["lag_ok"] and row["violation_fraction"] <= MAX_VIOLATIONS
         passed = passed and ok
         verdict = "OK" if ok else ("FAIL" if row["lag_ok"] else "FAIL (generator lagged)")
         print(
             f"{name:24s} p50 {row['p50_ms']:7.3f}ms  p99 {row['p99_ms']:7.3f}ms  "
             f"p99.9 {row['p999_ms']:7.3f}ms  "
             f"viol {100 * row['violation_fraction']:.3f}%  "
-            f"lag p99 {row['lag_p99_ms']:.3f}ms -> {verdict}"
+            f"lag p99 {row['lag_p99_ms']:.3f}ms  "
+            f"(worst p99 {row['worst_p99_ms']:.3f}ms) -> {verdict}"
         )
     print(
-        f"gate: violation fraction <= {100 * max_violations:g}% at "
+        f"gate: violation fraction <= {100 * MAX_VIOLATIONS:g}% at "
         f"SLO {report['slo_ms']:g}ms, generator lag within bounds -> "
         f"{'OK' if passed else 'FAIL'}"
     )
@@ -157,13 +173,11 @@ def check(report: dict, *, max_violations: float = 0.01) -> bool:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--length", type=int, default=OPS, help="requests per row")
-    parser.add_argument("--repeats", type=int, default=3, help="best-of repeats")
+    parser.add_argument(
+        "--repeats", type=int, default=3, help="runs per row; the median by p99 is reported"
+    )
     parser.add_argument("--rate", type=float, default=RATE, help="offered req/s")
     parser.add_argument("--slo", type=float, default=SLO_MS, metavar="MS", help="SLO bound")
-    parser.add_argument(
-        "--max-violations", type=float, default=0.01,
-        help="gate: max tolerated violation fraction (default 0.01)",
-    )
     parser.add_argument(
         "--json", nargs="?", const="BENCH_slo.json", default=None,
         metavar="PATH", help="write the JSON report (default path when bare)",
@@ -180,7 +194,7 @@ def main(argv: list[str] | None = None) -> int:
             json.dump(report, fh, indent=2, sort_keys=True)
             fh.write("\n")
         print(f"wrote {args.json}")
-    passed = check(report, max_violations=args.max_violations)
+    passed = check(report)
     return 0 if (passed or not args.check) else 1
 
 

@@ -4,9 +4,10 @@ The rest of the repo *computes* cache behaviour; this package lets you
 *watch* it. Two complementary halves share the namespace:
 
 **Metrics** (aggregates): :class:`MetricsRegistry` holds named counters,
-gauges and log₂-bucketed histograms and renders them in the Prometheus
-text exposition format (:func:`render_prometheus`, with a parser for
-round-trips and CLI display). The live service registers its loop-local
+gauges and log-linear histograms (≤ 1/32 percentile error, mergeable)
+and renders them in the Prometheus text exposition format
+(:func:`render_prometheus`, with a parser for round-trips and CLI
+display). The live service registers its loop-local
 instruments here per scrape — ``{"op": "METRICS"}`` on the wire, or an
 HTTP ``/metrics`` endpoint (:mod:`repro.obs.httpexpo`) for real scrapers.
 

@@ -1,4 +1,4 @@
-"""Named instruments — counters, gauges, log-bucketed histograms — and a
+"""Named instruments — counters, gauges, log-linear histograms — and a
 registry that collects them for Prometheus exposition.
 
 The instruments are deliberately plain objects mutated without locks:
@@ -6,11 +6,13 @@ everything in this library runs on one thread (the simulator) or one
 asyncio event loop (the service), so a counter is an attribute add, a
 histogram record is one ``bisect`` — cheap enough for hot paths.
 
-:class:`Histogram` is the generalization of the service layer's original
-``LatencyHistogram`` (which is now a thin unit-presenting subclass of
-it): fixed log₂-spaced buckets above a base value, O(1) record, bounded
-memory, percentile estimates biased upward by at most the bucket ratio
-(2×). The same bucket layout doubles as the cumulative ``le`` buckets
+:class:`Histogram` is the one percentile implementation in the library
+(the service's ``LatencyHistogram`` is a thin unit-presenting subclass):
+log-linear buckets in the HDR-histogram style — each power-of-two octave
+above a base value split into 32 equal sub-buckets — so a record is one
+``bisect``, memory is bounded, and a percentile overestimates by at most
+1/32 of the true value. Histograms of one shape :meth:`~Histogram.merge`
+exactly. The octave edges double as the cumulative ``le`` buckets
 Prometheus histograms need — :meth:`Histogram.buckets` returns them.
 
 :class:`MetricsRegistry` maps ``(name, labels)`` to instruments,
@@ -22,8 +24,11 @@ everything into :class:`MetricFamily` rows that
 from __future__ import annotations
 
 import re
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import accumulate
+from operator import add
 from typing import Any, Iterable, Mapping
 
 from repro.errors import ConfigurationError
@@ -75,18 +80,44 @@ class Gauge:
         self.value -= amount
 
 
+#: Linear sub-buckets per octave; bounds a percentile's relative error at 1/32.
+SUB_BUCKETS = 32
+
+
+@lru_cache(maxsize=None)
+def _bucket_bounds(base: float, num_buckets: int) -> tuple[float, ...]:
+    """Upper bounds of every finite bucket: ``base``, then each octave
+    ``[base·2^(i-1), base·2^i)`` cut into :data:`SUB_BUCKETS` equal widths.
+
+    Each octave edge is written as ``base * 2**i`` itself, so the edges
+    :meth:`Histogram.buckets` reports are exact, not summed steps.
+    """
+    bounds = [base]
+    for i in range(1, num_buckets):
+        lo, hi = base * (1 << (i - 1)), base * (1 << i)
+        step = (hi - lo) / SUB_BUCKETS
+        bounds.extend(lo + j * step for j in range(1, SUB_BUCKETS))
+        bounds.append(hi)
+    return tuple(bounds)
+
+
 class Histogram:
-    """Log₂-bucketed histogram of non-negative values.
+    """Log-linear histogram of non-negative values.
 
-    Buckets have upper bounds ``base * 2**i`` for ``i = 0 ..
-    num_buckets-1`` (default 1e-6 … ~8.4, i.e. 1 µs … ~8.4 s when values
-    are seconds); values beyond the last boundary land in a final
-    overflow bucket whose exposition bound is ``+Inf``.
+    Octave edges sit at ``base * 2**i`` for ``i = 0 .. num_buckets-1``
+    (default 1e-6 … ~8.4, i.e. 1 µs … ~8.4 s when values are seconds).
+    Everything below ``base`` shares one bucket; each octave above it is
+    split into :data:`SUB_BUCKETS` equal-width sub-buckets; values at or
+    beyond the last edge land in a final overflow bucket whose exposition
+    bound is ``+Inf``. A value equal to a bound counts in the bucket above
+    it, as in the earlier log₂ layout, so the octave counts are unchanged.
 
-    :meth:`percentile` reports the upper boundary of the bucket holding
-    the requested rank — a ≤ 2× overestimate by construction, the right
-    bias for alerting. A rank landing in the overflow bucket reports the
-    **observed maximum** (the only finite bound available there).
+    :meth:`percentile` reports ``min(upper bound of the rank's
+    sub-bucket, max)``: an overestimate by at most 1/32 of the true value
+    (the right bias for alerting) that never exceeds the observed
+    maximum. :meth:`buckets` reports only the octave edges, so the
+    Prometheus ``le`` layout is the plain powers of two. :meth:`merge`
+    folds in another histogram of the same shape.
     """
 
     kind = "histogram"
@@ -96,8 +127,8 @@ class Histogram:
             raise ConfigurationError(
                 f"bad histogram shape: base={base}, num_buckets={num_buckets}"
             )
-        self._bounds = [base * (1 << i) for i in range(num_buckets)]
-        self._counts = [0] * (num_buckets + 1)  # +1 overflow bucket
+        self._bounds = _bucket_bounds(base, num_buckets)
+        self._counts = [0] * (len(self._bounds) + 1)  # +1 overflow bucket
         self.count = 0
         self.total = 0.0
         self.max = 0.0
@@ -118,36 +149,47 @@ class Histogram:
         return self.total / self.count if self.count else 0.0
 
     def percentile(self, q: float) -> float:
-        """Upper bound of the bucket holding the ``q``-quantile (q in [0,1]).
+        """Nearest-rank ``q``-quantile (q in [0,1]), rounded up to its
+        sub-bucket's upper bound and capped at :attr:`max`.
 
-        ``q=0`` is the smallest recorded bucket's bound, ``q=1`` the
-        largest; ranks in the overflow bucket return :attr:`max`.
+        ``q=0`` is rank 1, ``q=1`` the largest value; ranks in the
+        overflow bucket return :attr:`max`.
         """
         if not 0.0 <= q <= 1.0:
             raise ConfigurationError(f"quantile must be in [0,1], got {q}")
         if self.count == 0:
             return 0.0
         rank = max(1, int(q * self.count + 0.5))
-        seen = 0
-        for i, c in enumerate(self._counts):
-            seen += c
-            if seen >= rank:
-                return self._bounds[i] if i < len(self._bounds) else self.max
-        return self.max  # pragma: no cover - rank <= count guarantees the loop returns
+        i = bisect_left(list(accumulate(self._counts)), rank)
+        return min(self._bounds[i], self.max) if i < len(self._bounds) else self.max
 
     def buckets(self) -> list[tuple[float, int]]:
-        """Cumulative ``(upper_bound, count_le_bound)`` pairs, Prometheus-style.
+        """Cumulative ``(upper_bound, count_le_bound)`` pairs at the octave
+        edges, Prometheus-style.
 
         The final pair has bound ``inf`` and count equal to :attr:`count`
         (the overflow bucket folded in).
         """
-        out: list[tuple[float, int]] = []
-        seen = 0
-        for bound, c in zip(self._bounds, self._counts):
-            seen += c
-            out.append((bound, seen))
+        cumulative = list(accumulate(self._counts))
+        out = [
+            (self._bounds[i], cumulative[i])
+            for i in range(0, len(self._bounds), SUB_BUCKETS)
+        ]
         out.append((float("inf"), self.count))
         return out
+
+    def merge(self, other: "Histogram") -> "Histogram":
+        """Add ``other``'s observations into this histogram; returns self.
+
+        Both must have the same ``base`` and ``num_buckets``.
+        """
+        if other._bounds != self._bounds:
+            raise ConfigurationError("cannot merge histograms of different shapes")
+        self._counts = list(map(add, self._counts, other._counts))
+        self.count += other.count
+        self.total += other.total
+        self.max = max(self.max, other.max)
+        return self
 
 
 @dataclass(frozen=True)

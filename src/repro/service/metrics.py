@@ -6,10 +6,10 @@ op returns is a plain JSON-able dict; field meanings are documented in
 ``docs/service.md``.
 
 The latency histograms are :class:`repro.obs.metrics.Histogram` —
-fixed log-spaced buckets (powers of two above one microsecond) like the
-HDR-histogram family of tools: O(1) record, bounded memory, and
-percentile estimates whose relative error is bounded by the bucket
-ratio. Request service time is recorded twice: once into the combined
+log-linear buckets (each power-of-two octave above one microsecond cut
+into 32 sub-buckets) like the HDR-histogram family of tools: O(1)
+record, bounded memory, and percentile estimates at most 1/32 above the
+true value. Request service time is recorded twice: once into the combined
 histogram (kept for ``STATS`` backward compatibility) and once into the
 per-op histogram of GET/PUT/DEL, so slow PUTs can no longer hide inside
 a GET-dominated aggregate.
@@ -51,15 +51,15 @@ PER_OP_LATENCY = ("GET", "PUT", "DEL", "MGET", "MPUT")
 
 
 class LatencyHistogram(Histogram):
-    """Log₂-bucketed histogram of durations in seconds.
+    """Log-linear histogram of durations in seconds.
 
-    A unit-presenting subclass of :class:`repro.obs.metrics.Histogram`
-    (which inherited this class's original implementation): buckets span
-    ``base * 2**i`` for ``i = 0 .. num_buckets-1`` (default 1 µs … ~8.6 s),
-    durations beyond the last boundary land in a final overflow bucket,
-    and percentiles report the upper boundary of the rank's bucket — a
-    ≤ 2× overestimate by construction, the right bias for alerting. Ranks
-    landing in the overflow bucket report the observed :attr:`max`.
+    A unit-presenting subclass of :class:`repro.obs.metrics.Histogram`:
+    octave edges at ``base * 2**i`` for ``i = 0 .. num_buckets-1``
+    (default 1 µs … ~8.4 s), each octave cut into 32 sub-buckets,
+    durations beyond the last edge in a final overflow bucket.
+    Percentiles report the rank's sub-bucket upper bound capped at the
+    observed :attr:`max` — at most 1/32 above the true value, the right
+    bias for alerting.
 
     :meth:`snapshot` presents microseconds, as served by ``STATS``.
     """
@@ -126,14 +126,9 @@ class RecentWindow:
         epoch = int(now / self.slice_s)
         slices = len(self._hists)
         merged = LatencyHistogram()
-        for idx, hist_epoch in enumerate(self._epochs):
+        for hist, hist_epoch in zip(self._hists, self._epochs):
             if epoch - slices < hist_epoch <= epoch:
-                hist = self._hists[idx]
-                for i, c in enumerate(hist._counts):
-                    merged._counts[i] += c
-                merged.count += hist.count
-                merged.total += hist.total
-                merged.max = max(merged.max, hist.max)
+                merged.merge(hist)
         # the live slices start at (epoch - slices + 1) * slice_s; a young
         # window is clamped to its own age so early rates are not diluted
         covered = min(now - (epoch - slices + 1) * self.slice_s, now - self._born)

@@ -8,7 +8,7 @@ politely excludes exactly the moments the server was drowning.
 
 This module measures the question an SLO actually asks: **at a fixed
 offered rate, what latency do clients see?** Requests are released on a
-precomputed arrival schedule regardless of completions (Poisson arrivals
+seeded arrival process regardless of completions (Poisson arrivals
 at ``rate``/s, or bursty clumps with ``burst`` mean size at the same
 long-run rate), and every request's latency is measured from its
 *scheduled* arrival time — a request that queued behind a stall is
@@ -22,18 +22,25 @@ the report carries the p99 lag plus a ``lag_ok`` verdict against
 :data:`MAX_LAG_SECONDS`); a report with ``lag_ok == False`` should be
 discarded, not celebrated.
 
+Tails come from one place: latency and lag aggregate into log-linear
+histograms (:class:`~repro.obs.metrics.Histogram`), so every percentile
+is at most 1/32 above the exact nearest-rank value and never above the
+observed maximum, memory stays O(1) at any trace length, and an
+in-memory trace and a stream of the same keys go through one driver.
+
 Determinism: the schedule is drawn from a seeded generator
 (``derive_seed(seed, "open-loop")``), so two runs at the same rate
-offer byte-identical arrival processes.
+offer byte-identical arrival processes; :func:`arrival_schedule` returns
+a prefix of that same generator.
 """
 
 from __future__ import annotations
 
 import asyncio
 import time
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Any
+from itertools import islice
+from typing import Any, Iterator
 
 import numpy as np
 
@@ -42,8 +49,8 @@ from repro.obs.metrics import Histogram
 from repro.rng import derive_seed
 from repro.service.client import DEFAULT_TIMEOUT, ServiceClient
 from repro.service.protocol import FRAME_NDJSON, FRAMES, Request, encode_request
-from repro.traces.base import Trace, as_page_array
-from repro.traces.streaming import TraceStream
+from repro.traces.base import Trace
+from repro.traces.streaming import ArrayTraceStream, TraceStream
 
 __all__ = ["SLOReport", "arrival_schedule", "open_loop_replay", "run_open_loop"]
 
@@ -53,10 +60,15 @@ MAX_LAG_FRACTION = 0.25
 MAX_LAG_SECONDS = 0.005
 
 
-def arrival_schedule(
-    n: int, rate: float, *, burst: float = 1.0, seed: int = 0
-) -> np.ndarray:
-    """``n`` arrival offsets (seconds from start) at ``rate`` requests/s.
+def _check_arrivals(rate: float, burst: float) -> None:
+    if rate <= 0:
+        raise ConfigurationError(f"rate must be > 0, got {rate}")
+    if burst < 1.0:
+        raise ConfigurationError(f"burst must be >= 1, got {burst}")
+
+
+def _arrival_offsets(rate: float, burst: float, seed: int) -> Iterator[float]:
+    """Unbounded arrival offsets (seconds from start) at ``rate`` requests/s.
 
     ``burst == 1`` gives a Poisson process (i.i.d. exponential gaps).
     ``burst > 1`` clumps arrivals: burst sizes are geometric with mean
@@ -64,54 +76,29 @@ def arrival_schedule(
     long-run rate is still ``rate`` but arrivals land in simultaneous
     spikes — the adversarial shape for queue-depth tails.
     """
-    if n < 1:
-        raise ConfigurationError(f"n must be >= 1, got {n}")
-    if rate <= 0:
-        raise ConfigurationError(f"rate must be > 0, got {rate}")
-    if burst < 1.0:
-        raise ConfigurationError(f"burst must be >= 1, got {burst}")
-    rng = np.random.default_rng(derive_seed(seed, "open-loop"))
-    if burst == 1.0:
-        return np.cumsum(rng.exponential(1.0 / rate, size=n))
-    out = np.empty(n)
-    i = 0
-    t = 0.0
-    while i < n:
-        t += rng.exponential(burst / rate)
-        size = min(int(rng.geometric(1.0 / burst)), n - i)
-        out[i : i + size] = t
-        i += size
-    return out
-
-
-def _arrival_offsets(rate: float, burst: float, seed: int):
-    """Unbounded arrival offsets — the generator form of
-    :func:`arrival_schedule` for streams of unknown length.
-
-    Same seeded source and same draw sequence, so for a given seed this
-    yields the identical offsets ``arrival_schedule(n, ...)`` would
-    (exponential draws consume the bit stream per value, so drawing in
-    blocks matches one bulk draw).
-    """
     rng = np.random.default_rng(derive_seed(seed, "open-loop"))
     t = 0.0
     if burst == 1.0:
         while True:
-            offsets = t + np.cumsum(rng.exponential(1.0 / rate, size=4096))
-            t = float(offsets[-1])
-            yield from offsets.tolist()
+            for gap in rng.exponential(1.0 / rate, size=4096).tolist():
+                t += gap
+                yield t
     while True:
         t += float(rng.exponential(burst / rate))
         for _ in range(int(rng.geometric(1.0 / burst))):
             yield t
 
 
-def _percentile(sorted_values: list[float], q: float) -> float:
-    """Exact nearest-rank percentile of an ascending list (0 when empty)."""
-    if not sorted_values:
-        return 0.0
-    rank = max(1, min(len(sorted_values), int(q * len(sorted_values) + 0.5)))
-    return sorted_values[rank - 1]
+def arrival_schedule(
+    n: int, rate: float, *, burst: float = 1.0, seed: int = 0
+) -> np.ndarray:
+    """The first ``n`` offsets of the open loop's arrival process (see
+    :func:`_arrival_offsets`) — exactly what a replay at the same
+    ``rate``/``burst``/``seed`` schedules."""
+    if n < 1:
+        raise ConfigurationError(f"n must be >= 1, got {n}")
+    _check_arrivals(rate, burst)
+    return np.fromiter(islice(_arrival_offsets(rate, burst, seed), n), float, count=n)
 
 
 @dataclass(frozen=True)
@@ -126,7 +113,8 @@ class SLOReport:
     burst: float
     connections: int
     frame: str
-    #: Exact client-observed latencies (scheduled arrival → response), ms.
+    #: Client-observed latencies (scheduled arrival → response), ms, from a
+    #: log-linear histogram: at most 1/32 above exact, never above max_ms.
     p50_ms: float
     p90_ms: float
     p99_ms: float
@@ -142,9 +130,6 @@ class SLOReport:
     lag_max_ms: float = 0.0
     lag_ok: bool = True
     server_stats: dict[str, Any] = field(default_factory=dict)
-    #: True for streamed runs: percentiles come from a log₂-bucketed
-    #: histogram (≤ 2× overestimates) instead of exact sorted latencies.
-    approx_percentiles: bool = False
 
     @property
     def achieved_rate(self) -> float:
@@ -174,7 +159,6 @@ class SLOReport:
             "lag_p99_ms": round(self.lag_p99_ms, 4),
             "lag_max_ms": round(self.lag_max_ms, 4),
             "lag_ok": self.lag_ok,
-            "approx_percentiles": self.approx_percentiles,
         }
 
     def summary(self) -> str:
@@ -222,163 +206,33 @@ async def open_loop_replay(
     under overload lands in the measured latency instead of silently
     throttling the offered load.
 
-    A :class:`~repro.traces.streaming.TraceStream` runs the open loop at
-    O(chunk) memory: arrivals are generated incrementally and latencies
-    aggregate into bounded histograms instead of exact lists (the report
-    sets ``approx_percentiles``; SLO violation counts stay exact).
+    Every trace runs at O(chunk) memory: an in-memory trace is wrapped in
+    an :class:`~repro.traces.streaming.ArrayTraceStream`, a feeder task
+    pulls keys off the stream into per-connection bounded queues, and
+    latency and lag aggregate into bounded histograms. SLO violation
+    counts are exact per response.
     """
+    _check_arrivals(rate, burst)
     if connections < 1:
         raise ConfigurationError(f"connections must be >= 1, got {connections}")
     if frame not in FRAMES:
         raise ConfigurationError(f"unknown frame {frame!r}; expected one of {list(FRAMES)}")
     if slo_ms is not None and slo_ms <= 0:
         raise ConfigurationError(f"slo_ms must be > 0, got {slo_ms}")
-    if isinstance(trace, TraceStream):
-        return await _open_loop_stream(
-            trace, host=host, port=port, rate=rate, burst=burst,
-            connections=connections, frame=frame, slo_ms=slo_ms,
-            timeout=timeout, seed=seed, fetch_stats=fetch_stats,
-        )
-    pages = as_page_array(trace).tolist()
-    offsets = arrival_schedule(len(pages), rate, burst=burst, seed=seed).tolist()
+    stream = trace if isinstance(trace, TraceStream) else ArrayTraceStream(trace)
 
     clients = [
         await ServiceClient.connect(host, port, timeout=timeout, frame=frame)
         for _ in range(connections)
     ]
-    latencies: list[float] = []
-    lags: list[float] = []
-    counts = {"hits": 0, "errors": 0}
-    try:
-        start = time.perf_counter() + 0.01  # small lead so arrival 0 is not late
-        await asyncio.gather(
-            *(
-                _drive_connection(
-                    clients[c],
-                    [(offsets[i], pages[i]) for i in range(c, len(pages), connections)],
-                    start,
-                    latencies,
-                    lags,
-                    counts,
-                )
-                for c in range(connections)
-            )
-        )
-        seconds = time.perf_counter() - start
-        server_stats: dict[str, Any] = {}
-        if fetch_stats:
-            server_stats = await clients[0].stats()
-    finally:
-        await asyncio.gather(*(c.close() for c in clients), return_exceptions=True)
-
-    latencies.sort()
-    lags.sort()
-    lag_p99 = _percentile(lags, 0.99)
-    lag_bound = (
-        MAX_LAG_FRACTION * slo_ms / 1e3 if slo_ms is not None else MAX_LAG_SECONDS
-    )
-    violations = 0
-    if slo_ms is not None:
-        bound = slo_ms / 1e3
-        violations = sum(1 for v in latencies if v > bound)
-    return SLOReport(
-        ops=len(latencies),
-        hits=counts["hits"],
-        errors=counts["errors"],
-        seconds=seconds,
-        rate=rate,
-        burst=burst,
-        connections=connections,
-        frame=frame,
-        p50_ms=_percentile(latencies, 0.50) * 1e3,
-        p90_ms=_percentile(latencies, 0.90) * 1e3,
-        p99_ms=_percentile(latencies, 0.99) * 1e3,
-        p999_ms=_percentile(latencies, 0.999) * 1e3,
-        max_ms=(latencies[-1] if latencies else 0.0) * 1e3,
-        mean_ms=(sum(latencies) / len(latencies) if latencies else 0.0) * 1e3,
-        slo_ms=slo_ms,
-        violations=violations,
-        violation_fraction=violations / len(latencies) if latencies else 0.0,
-        lag_p99_ms=lag_p99 * 1e3,
-        lag_max_ms=(lags[-1] if lags else 0.0) * 1e3,
-        lag_ok=lag_p99 <= lag_bound,
-        server_stats=server_stats,
-    )
-
-
-async def _drive_connection(
-    client: ServiceClient,
-    items: list[tuple[float, int]],
-    start: float,
-    latencies: list[float],
-    lags: list[float],
-    counts: dict[str, int],
-) -> None:
-    """Send this connection's arrivals on schedule; read responses FIFO.
-
-    The reader runs as its own task so a slow response never delays the
-    next send — that decoupling *is* the open loop. Latency is measured
-    from the scheduled arrival, so send-queue time counts too.
-    """
-    if not items:
-        return
-    pending: deque[float] = deque()
-
-    async def _read_all() -> None:
-        for _ in range(len(items)):
-            response = await client._read_response()
-            now = time.perf_counter()
-            scheduled = pending.popleft()
-            latencies.append(now - (start + scheduled))
-            if not response.get("ok"):
-                counts["errors"] += 1
-            elif response.get("hit"):
-                counts["hits"] += 1
-
-    reader = asyncio.create_task(_read_all())
-    try:
-        for offset, key in items:
-            delay = start + offset - time.perf_counter()
-            if delay > 0:
-                await asyncio.sleep(delay)
-            lags.append(max(0.0, time.perf_counter() - (start + offset)))
-            pending.append(offset)
-            await client._send(encode_request(Request("GET", key=key), frame=client.frame))
-        await reader
-    except BaseException:
-        reader.cancel()
-        raise
-
-
-async def _open_loop_stream(
-    stream: TraceStream,
-    *,
-    host: str,
-    port: int,
-    rate: float,
-    burst: float,
-    connections: int,
-    frame: str,
-    slo_ms: float | None,
-    timeout: float | None,
-    seed: int,
-    fetch_stats: bool,
-) -> SLOReport:
-    """Constant-memory open loop: a feeder task pulls keys off the stream
-    and fans them out to per-connection bounded queues; each connection
-    drains its queue on schedule. Latency/lag land in log₂ histograms
-    (O(1) memory), SLO violations are counted exactly per response.
-    """
-    clients = [
-        await ServiceClient.connect(host, port, timeout=timeout, frame=frame)
-        for _ in range(connections)
-    ]
-    # 30 buckets from 1 µs: overflow starts around 9 minutes of latency
+    # 30 octaves from 1 µs: overflow starts around 9 minutes of latency
     lat_hist = Histogram(base=1e-6, num_buckets=30)
     lag_hist = Histogram(base=1e-6, num_buckets=30)
     counts = {"hits": 0, "errors": 0, "violations": 0}
     slo_bound = slo_ms / 1e3 if slo_ms is not None else None
-    queues: list[asyncio.Queue] = [asyncio.Queue(maxsize=2048) for _ in range(connections)]
+    # short per-connection lookahead: the feeder's first fill runs before
+    # any send and must finish well inside the start lead below
+    queues: list[asyncio.Queue] = [asyncio.Queue(maxsize=256) for _ in range(connections)]
 
     async def _feed() -> None:
         offsets = _arrival_offsets(rate, burst, seed)
@@ -394,7 +248,7 @@ async def _open_loop_stream(
         start = time.perf_counter() + 0.01  # small lead so arrival 0 is not late
         tasks = [asyncio.create_task(_feed())] + [
             asyncio.create_task(
-                _drive_connection_queue(
+                _drive_connection(
                     clients[c], queues[c], start, lat_hist, lag_hist, counts, slo_bound
                 )
             )
@@ -440,11 +294,10 @@ async def _open_loop_stream(
         lag_max_ms=lag_hist.max * 1e3,
         lag_ok=lag_p99 <= lag_bound,
         server_stats=server_stats,
-        approx_percentiles=True,
     )
 
 
-async def _drive_connection_queue(
+async def _drive_connection(
     client: ServiceClient,
     feed: asyncio.Queue,
     start: float,
@@ -453,13 +306,15 @@ async def _drive_connection_queue(
     counts: dict[str, int],
     slo_bound: float | None,
 ) -> None:
-    """Queue-fed variant of :func:`_drive_connection`.
+    """Send this connection's arrivals on schedule; read responses FIFO.
 
-    The reader task pairs responses with scheduled offsets through a
-    second (unbounded-but-small) queue: the sender enqueues an offset
-    before each send and a sentinel at the end, so the reader reads
-    exactly one response per real entry — no total count needed up
-    front, no race on shutdown.
+    The reader runs as its own task so a slow response never delays the
+    next send — that decoupling *is* the open loop. Latency is measured
+    from the scheduled arrival, so send-queue time counts too. The
+    reader pairs responses with scheduled offsets through a second
+    queue: the sender enqueues an offset before each send and a sentinel
+    at the end, so the reader reads exactly one response per real entry —
+    no total count needed up front, no race on shutdown.
     """
     pending: asyncio.Queue = asyncio.Queue()
 

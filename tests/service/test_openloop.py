@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from repro.errors import ConfigurationError
 from repro.service.openloop import (
     MAX_LAG_SECONDS,
     SLOReport,
+    _arrival_offsets,
     arrival_schedule,
     open_loop_replay,
     run_open_loop,
@@ -45,6 +47,16 @@ class TestArrivalSchedule:
         # clumps: many arrivals share an identical timestamp
         same = np.sum(np.diff(offsets) == 0.0)
         assert same > 10_000  # mean burst 8 => ~7/8 of gaps are zero
+
+    @pytest.mark.parametrize("burst", [1.0, 4.0])
+    @pytest.mark.parametrize("n", [1, 4096, 4097, 20_000])
+    def test_schedule_is_a_prefix_of_the_replay_generator(self, burst, n):
+        # the replay draws its arrivals from _arrival_offsets; the schedule
+        # must be the same numbers bit for bit, also past a draw block
+        expected = np.fromiter(islice(_arrival_offsets(1000.0, burst, 3), n), float)
+        actual = arrival_schedule(n, 1000.0, burst=burst, seed=3)
+        assert actual.dtype == expected.dtype
+        assert actual.tobytes() == expected.tobytes()
 
     def test_deterministic_per_seed(self):
         a = arrival_schedule(500, 2000.0, burst=4.0, seed=9)

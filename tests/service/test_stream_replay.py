@@ -102,16 +102,9 @@ class TestStreamedOpenLoop:
         report = self._run(stream, rate=50_000.0, connections=2, slo_ms=1_000.0)
         assert report.ops == 2_000
         assert report.errors == 0
-        assert report.approx_percentiles is True
         assert report.rate == 50_000.0
         assert report.p50_ms >= 0
         assert 0 <= report.violations <= 2_000
-        assert report.as_dict()["approx_percentiles"] is True
-
-    def test_materialized_open_loop_keeps_exact_percentiles(self):
-        trace = repro.zipf_trace(256, 1_000, alpha=1.0, seed=5)
-        report = self._run(trace, rate=50_000.0, connections=2)
-        assert report.approx_percentiles is False
 
     def test_streamed_hit_count_matches_offline(self):
         # arrivals are paced but order is preserved per round-robin lane;
