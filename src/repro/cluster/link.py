@@ -18,6 +18,13 @@ next send reconnects, and the router's retry layer decides per request
 whether a replay is safe (idempotent ops only, mirroring
 :class:`~repro.service.client.ResilientClient`).
 
+Deadline: one timer per link, not one per request. Responses arrive in
+send order, so the oldest outstanding request is always the first to
+run out of time: the timer is armed for its deadline (its send time plus
+``timeout``) and, when it fires, either resets the link with
+:class:`~repro.errors.ServiceTimeout` (that request is overdue) or re-arms
+for the request now at the head. Awaiting a response is a plain await.
+
 Backpressure: a semaphore caps in-flight requests per link; when the
 worker falls behind, senders block, the router's per-connection response
 queues fill, its client-socket pumps stop reading, and TCP pushes back on
@@ -56,6 +63,9 @@ DEFAULT_UPSTREAM_TIMEOUT = 10.0
 #: Default in-flight request cap per link (backpressure bound).
 DEFAULT_MAX_PENDING = 1024
 
+#: The deadline of a request on a link with no timeout.
+_NEVER = float("inf")
+
 
 class WorkerLink:
     """One pipelined binary connection to one worker (lazy connect)."""
@@ -77,7 +87,9 @@ class WorkerLink:
         self.connect_timeout = connect_timeout
         self._sem = asyncio.Semaphore(max_pending)
         self._connect_lock = asyncio.Lock()
-        self._pending: deque[asyncio.Future] = deque()
+        # (deadline, future) per outstanding request, in send order
+        self._pending: deque[tuple[float, asyncio.Future]] = deque()
+        self._timer: asyncio.TimerHandle | None = None
         self._reader: asyncio.StreamReader | None = None
         self._writer: asyncio.StreamWriter | None = None
         self._reader_task: asyncio.Task | None = None
@@ -107,35 +119,37 @@ class WorkerLink:
         except BaseException:
             self._sem.release()
             raise
-        assert self._writer is not None
-        future: asyncio.Future = asyncio.get_running_loop().create_future()
-        self._pending.append(future)
-        self._writer.write(frame)
+        writer = self._writer
+        assert writer is not None
+        generation = self._generation
+        loop = asyncio.get_running_loop()
+        future: asyncio.Future = loop.create_future()
+        if self.timeout is None:
+            self._pending.append((_NEVER, future))
+        else:
+            deadline = loop.time() + self.timeout
+            self._pending.append((deadline, future))
+            if self._timer is None:
+                self._timer = loop.call_at(deadline, self._expire, generation, deadline)
+        writer.write(frame)
         try:
-            await self._writer.drain()
+            await writer.drain()
         except (ConnectionResetError, BrokenPipeError, OSError) as exc:
-            self._reset(ServiceError(f"worker {self.node} link lost while writing: {exc}"))
+            self._reset(
+                ServiceError(f"worker {self.node} link lost while writing: {exc}"),
+                generation=generation,
+            )
         return future
 
     async def settle(self, future: asyncio.Future) -> bytes:
-        """Await one response body under the upstream deadline.
+        """Await one response body.
 
-        A timeout is link-fatal (FIFO desync), so it resets the link
-        before surfacing :class:`~repro.errors.ServiceTimeout`.
+        The link's deadline fails it with
+        :class:`~repro.errors.ServiceTimeout` if the worker does not
+        answer within ``timeout`` of its send; that timeout has already
+        reset the link (FIFO desync), so the next send reconnects.
         """
-        try:
-            if self.timeout is None:
-                return await future
-            return await asyncio.wait_for(asyncio.shield(future), self.timeout)
-        except asyncio.TimeoutError:
-            self._reset(
-                ServiceTimeout(
-                    f"worker {self.node} did not answer within {self.timeout}s"
-                )
-            )
-            raise ServiceTimeout(
-                f"worker {self.node} did not answer within {self.timeout}s"
-            ) from None
+        return await future
 
     async def call(self, frame: bytes) -> bytes:
         """``send`` + ``settle`` in one step (admin/fan-out convenience)."""
@@ -198,7 +212,7 @@ class WorkerLink:
                 body = await reader.readexactly(length)
                 if not self._pending:
                     raise ProtocolError(f"worker {self.node} sent an unsolicited frame")
-                future = self._pending.popleft()
+                _, future = self._pending.popleft()
                 self._sem.release()
                 if not future.done():
                     future.set_result(body)
@@ -215,6 +229,21 @@ class WorkerLink:
                 generation=generation,
             )
 
+    def _expire(self, generation: int, deadline: float) -> None:
+        """The link timer, armed for ``deadline``: reset or re-arm."""
+        self._timer = None
+        if generation != self._generation or not self._pending:
+            return
+        head = self._pending[0][0]
+        if head <= deadline:
+            self._reset(
+                ServiceTimeout(f"worker {self.node} did not answer within {self.timeout}s"),
+                generation=generation,
+            )
+        else:
+            loop = asyncio.get_running_loop()
+            self._timer = loop.call_at(head, self._expire, generation, head)
+
     def _reset(self, error: ServiceError, *, generation: int | None = None) -> None:
         """Tear the link down; fail every pending request with ``error``."""
         if generation is not None and generation != self._generation:
@@ -223,14 +252,17 @@ class WorkerLink:
         writer, self._writer, self._reader = self._writer, None, None
         task, self._reader_task = self._reader_task, None
         pending, self._pending = self._pending, deque()
-        for future in pending:
+        if self._timer is not None:
+            self._timer.cancel()
+            self._timer = None
+        for _, future in pending:
             self._sem.release()
             if future.cancelled():
                 continue
             if not future.done():
                 future.set_exception(error)
-            # mark the exception retrieved: the awaiter may already have
-            # timed out and walked away (settle shields, then resets)
+            # mark the exception retrieved: nobody may ever settle it
+            # (a request whose caller was cancelled, a link closed early)
             future.exception()
         if writer is not None:
             writer.close()

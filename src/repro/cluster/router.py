@@ -178,7 +178,8 @@ class RouterServer(FrontEnd):
     pool:
         Persistent connections per worker.
     upstream_timeout / upstream_retries:
-        Per-response worker deadline, and how many times an idempotent
+        Per-response worker deadline (from the request's send to the
+        worker), and how many times an idempotent
         request is replayed after a link failure before answering
         ``upstream-error``.
     host, port, max_connections, max_inflight, write_timeout, frames:

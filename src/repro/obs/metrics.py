@@ -148,29 +148,45 @@ class Histogram:
     def mean(self) -> float:
         return self.total / self.count if self.count else 0.0
 
-    def percentile(self, q: float) -> float:
+    def cumulative(self) -> list[int]:
+        """Running totals of the bucket counts, overflow bucket last.
+
+        :meth:`percentile` and :meth:`buckets` build this on every call;
+        a caller that asks for several views of one unchanged histogram
+        builds it once and passes it to each.
+        """
+        if not self.count:
+            return [0] * len(self._counts)
+        return list(accumulate(self._counts))
+
+    def percentile(self, q: float, cumulative: list[int] | None = None) -> float:
         """Nearest-rank ``q``-quantile (q in [0,1]), rounded up to its
         sub-bucket's upper bound and capped at :attr:`max`.
 
         ``q=0`` is rank 1, ``q=1`` the largest value; ranks in the
-        overflow bucket return :attr:`max`.
+        overflow bucket return :attr:`max`. ``cumulative`` is
+        :meth:`cumulative`, if the caller already has it.
         """
         if not 0.0 <= q <= 1.0:
             raise ConfigurationError(f"quantile must be in [0,1], got {q}")
         if self.count == 0:
             return 0.0
         rank = max(1, int(q * self.count + 0.5))
-        i = bisect_left(list(accumulate(self._counts)), rank)
+        if cumulative is None:
+            cumulative = self.cumulative()
+        i = bisect_left(cumulative, rank)
         return min(self._bounds[i], self.max) if i < len(self._bounds) else self.max
 
-    def buckets(self) -> list[tuple[float, int]]:
+    def buckets(self, cumulative: list[int] | None = None) -> list[tuple[float, int]]:
         """Cumulative ``(upper_bound, count_le_bound)`` pairs at the octave
         edges, Prometheus-style.
 
         The final pair has bound ``inf`` and count equal to :attr:`count`
-        (the overflow bucket folded in).
+        (the overflow bucket folded in). ``cumulative`` is as for
+        :meth:`percentile`.
         """
-        cumulative = list(accumulate(self._counts))
+        if cumulative is None:
+            cumulative = self.cumulative()
         out = [
             (self._bounds[i], cumulative[i])
             for i in range(0, len(self._bounds), SUB_BUCKETS)

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import asyncio
 import random
+import sys
 from dataclasses import dataclass, fields, replace
 from typing import Any, Awaitable, Callable, Iterator, Sequence, TypeVar
 
@@ -81,6 +82,9 @@ DEFAULT_TIMEOUT = 30.0
 DEFAULT_CONNECT_TIMEOUT = 10.0
 
 _T = TypeVar("_T")
+
+#: ``Task.cancelling``/``uncancel`` exist from Python 3.11 on.
+_UNCANCEL = sys.version_info >= (3, 11)
 
 
 class ServiceClient:
@@ -330,9 +334,13 @@ class ServiceClient:
         return encode_request(replace(req, trace=root.ctx), frame=self.frame)
 
     async def _send(self, data: bytes) -> None:
+        writer = self._writer
         try:
-            self._writer.write(data)
-            await self._await(self._writer.drain(), "write")
+            writer.write(data)
+            if writer.transport.get_write_buffer_size():
+                await self._await(writer.drain(), "write")
+            else:
+                await writer.drain()  # nothing buffered: never blocks, only reports a lost link
         except ServiceError:
             raise  # ServiceTimeout is a TimeoutError and hence an OSError
         except OSError as exc:
@@ -388,12 +396,59 @@ class ServiceClient:
             raise ServiceError(f"unparseable server response: {exc}") from exc
 
     async def _await(self, awaitable: Awaitable[_T], what: str) -> _T:
-        if self.timeout is None:
+        """Await ``awaitable`` in the current task under ``timeout``.
+
+        No task per wait: one timer cancels the waiting task if it fires,
+        and that cancellation surfaces as :class:`ServiceTimeout`. Each
+        wait arms its own timer on its own task, so a send and a read
+        awaited from two tasks each fail only themselves.
+        """
+        timeout = self.timeout
+        if timeout is None:
             return await awaitable
+        task = asyncio.current_task()
+        assert task is not None
+        deadline = _Deadline(task)
+        handle = task.get_loop().call_later(timeout, deadline)
         try:
-            return await asyncio.wait_for(awaitable, self.timeout)
-        except asyncio.TimeoutError:
-            raise ServiceTimeout(f"{what} timed out after {self.timeout}s") from None
+            return await awaitable
+        except asyncio.CancelledError:
+            if deadline.expired():
+                raise ServiceTimeout(f"{what} timed out after {timeout}s") from None
+            raise
+        finally:
+            handle.cancel()
+
+
+class _Deadline:
+    """The timer callback of one :meth:`ServiceClient._await`.
+
+    When called it cancels the waiting task; :meth:`expired` then tells
+    that cancellation from an outer ``cancel()`` — the mechanism of
+    ``asyncio.timeout``, which Python 3.10 lacks.
+    """
+
+    __slots__ = ("task", "cancels", "fired")
+
+    def __init__(self, task: asyncio.Task):
+        self.task = task
+        self.cancels = task.cancelling() if _UNCANCEL else 0
+        self.fired = False
+
+    def __call__(self) -> None:
+        self.fired = True
+        self.task.cancel()
+
+    def expired(self) -> bool:
+        """After a ``CancelledError``: whether this deadline alone caused it.
+
+        On Python 3.11+ the deadline's cancel is withdrawn (``uncancel``),
+        so the task's ``cancelling()`` count is what it was before the
+        wait, and a cancel requested by anyone else still wins.
+        """
+        if not self.fired:
+            return False
+        return not _UNCANCEL or self.task.uncancel() <= self.cancels
 
 
 @dataclass(frozen=True)

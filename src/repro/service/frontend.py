@@ -26,6 +26,13 @@ and that answer is :class:`FrontEnd`, written once:
   work completes: the router sends each request to its worker in frame
   order and settles the reply in the flusher, which keeps the upstream
   pipelined and every connection's responses in request order.
+- **Inline writes.** When a slot is already bytes, carries no span, and
+  the flusher is parked on an empty queue (every earlier response is
+  written and drained), the reader writes it itself and skips the task
+  hop — every ``CacheServer`` GET and PUT on an idle connection. If the
+  socket does not take all of it, the reader queues an empty
+  "written, drain me" slot, and the flusher drains the rest under
+  ``write_timeout`` like any other response.
 - **Backpressure, three layers.** ``max_connections`` caps concurrent
   connections; an excess connection gets one ``overloaded`` response
   and is closed (load shedding beats queueing collapse). When a
@@ -43,10 +50,11 @@ and that answer is :class:`FrontEnd`, written once:
   ``overflow``: the stream is no longer parseable), a dead socket, a
   write timeout, or a slot that fails while settling closes a
   connection.
-- **One latency interval.** ``record_op`` runs in the flusher after a
-  successful drain, so the request latency histograms time "frame
-  dispatched → response drained" in every process, and a response that
-  never drains records no sample.
+- **One latency interval.** ``record_op`` runs once per response, after
+  a successful drain (in the flusher, or in the reader when an inline
+  write left nothing buffered), so the request latency histograms time
+  "frame dispatched → response drained" in every process, and a
+  response that never drains records no sample.
 - **Tracing.** A request that carries a wire context gets a
   ``request_span`` child of it (``server.request`` / ``router.request``),
   ambient while the subclass computes the slot so spans opened there
@@ -109,6 +117,10 @@ Slot = Union[bytes, Coroutine[Any, Any, bytes]]
 #: Closes a connection's response queue.
 _EOF = object()
 
+#: The slot queued after an inline write the socket did not take whole:
+#: writing it is a no-op, so the flusher only drains.
+_WRITTEN = b""
+
 
 def encode_payload(payload: Mapping[str, Any], binary: bool) -> bytes:
     """A response mapping, framed like the request it answers."""
@@ -122,11 +134,13 @@ _OVERFLOW = encode_payload(error_payload("frame too long", code=CODE_OVERFLOW), 
 class _Connection:
     """One client connection's state, shared by its reader and flusher."""
 
-    __slots__ = ("index", "responses", "broken", "closing")
+    __slots__ = ("index", "writer", "responses", "idle", "broken", "closing")
 
-    def __init__(self, index: int, max_inflight: int):
+    def __init__(self, index: int, writer: asyncio.StreamWriter, max_inflight: int):
         self.index = index
+        self.writer = writer
         self.responses: asyncio.Queue[Any] = asyncio.Queue(maxsize=max_inflight)
+        self.idle = False  # the flusher waits for a slot, holding none
         self.broken = False  # a write or a slot failed: stop reading
         self.closing = False  # torn down: the flusher stops at its next slot
 
@@ -282,7 +296,7 @@ class FrontEnd:
                 writer.write(encode_response(overload_payload()))
                 await self._drain(writer)
             else:
-                await self._serve(reader, writer, _Connection(index, self.max_inflight))
+                await self._serve(reader, _Connection(index, writer, self.max_inflight))
         except asyncio.CancelledError:
             pass  # server shutting down
         finally:
@@ -295,17 +309,15 @@ class FrontEnd:
             with contextlib.suppress(Exception, asyncio.CancelledError):
                 await writer.wait_closed()
 
-    async def _serve(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter, conn: _Connection
-    ) -> None:
-        flusher = asyncio.create_task(self._flush(writer, conn))
+    async def _serve(self, reader: asyncio.StreamReader, conn: _Connection) -> None:
+        flusher = asyncio.create_task(self._flush(conn))
         try:
             await self._read(reader, conn)
             await conn.responses.put(_EOF)  # the flusher finishes what is queued
             await flusher
         finally:
-            # wait_for (inside a router slot) can swallow a cancel that races
-            # its completion; the flag still stops the flusher afterwards
+            # wait_for (a link reconnect inside a router slot) can swallow a
+            # cancel that races its completion; the flag still stops the flusher
             conn.closing = True
             flusher.cancel()
             with contextlib.suppress(asyncio.CancelledError):
@@ -406,16 +418,33 @@ class FrontEnd:
     async def _enqueue(
         self, conn: _Connection, start: float, op: str | None, slot: Slot, span: Any
     ) -> None:
+        responses = conn.responses
+        if span is None:
+            if conn.idle and responses.empty() and isinstance(slot, bytes) and not conn.broken:
+                await self._write_inline(conn, start, op, slot)
+            else:
+                await responses.put((start, op, slot, None, None))
+            return
         # the queue span opens here and ends when the flusher pops the
         # slot, so head-of-line blocking shows as its own tree node
-        qspan = (
-            span.start_child(self.queue_span)
-            if span is not None and self.queue_span is not None
-            else None
-        )
-        await conn.responses.put((start, op, slot, span, qspan))
+        qspan = span.start_child(self.queue_span) if self.queue_span is not None else None
+        await responses.put((start, op, slot, span, qspan))
 
-    async def _flush(self, writer: asyncio.StreamWriter, conn: _Connection) -> None:
+    async def _write_inline(
+        self, conn: _Connection, start: float, op: str | None, slot: bytes
+    ) -> None:
+        """Write ``slot`` from the reader; the flusher is idle, so order holds."""
+        writer = conn.writer
+        writer.write(slot)
+        if writer.transport.get_write_buffer_size():
+            # the queue is empty, so put_nowait cannot overflow it
+            conn.responses.put_nowait((start, op, _WRITTEN, None, None))
+        elif await self._drain(writer):
+            self.metrics.record_op(op, asyncio.get_running_loop().time() - start)
+        else:
+            conn.broken = True
+
+    async def _flush(self, conn: _Connection) -> None:
         """Settle, write and drain slots in frame order until ``_EOF``.
 
         A failed drain or slot drops the connection: the transport is
@@ -426,10 +455,13 @@ class FrontEnd:
         """
         clock = asyncio.get_running_loop().time
         metrics = self.metrics
+        writer = conn.writer
         responses = conn.responses
         try:
             while not conn.closing:
+                conn.idle = True
                 item = await responses.get()
+                conn.idle = False
                 if item is _EOF:
                     return
                 start, op, slot, span, qspan = item

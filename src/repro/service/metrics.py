@@ -73,17 +73,18 @@ class LatencyHistogram(Histogram):
         lets exposition emit exact Prometheus histogram buckets from a
         snapshot alone.
         """
+        cumulative = self.cumulative()
         return {
             "count": self.count,
             "mean_us": round(self.mean * 1e6, 3),
-            "p50_us": round(self.percentile(0.50) * 1e6, 3),
-            "p90_us": round(self.percentile(0.90) * 1e6, 3),
-            "p99_us": round(self.percentile(0.99) * 1e6, 3),
+            "p50_us": round(self.percentile(0.50, cumulative) * 1e6, 3),
+            "p90_us": round(self.percentile(0.90, cumulative) * 1e6, 3),
+            "p99_us": round(self.percentile(0.99, cumulative) * 1e6, 3),
             "max_us": round(self.max * 1e6, 3),
             "sum_us": round(self.total * 1e6, 3),
             "buckets": [
                 [None if bound == float("inf") else round(bound * 1e6, 6), count]
-                for bound, count in self.buckets()
+                for bound, count in self.buckets(cumulative)
             ],
         }
 
@@ -133,13 +134,14 @@ class RecentWindow:
         # window is clamped to its own age so early rates are not diluted
         covered = min(now - (epoch - slices + 1) * self.slice_s, now - self._born)
         covered = max(covered, self.slice_s * 1e-3)
+        cumulative = merged.cumulative()
         return {
             "window_s": round(min(covered, self.window_s), 3),
             "count": merged.count,
             "rate": round(merged.count / covered, 3),
             "mean_us": round(merged.mean * 1e6, 3),
-            "p50_us": round(merged.percentile(0.50) * 1e6, 3),
-            "p99_us": round(merged.percentile(0.99) * 1e6, 3),
+            "p50_us": round(merged.percentile(0.50, cumulative) * 1e6, 3),
+            "p99_us": round(merged.percentile(0.99, cumulative) * 1e6, 3),
             "max_us": round(merged.max * 1e6, 3),
         }
 
